@@ -1,9 +1,10 @@
 """Perf-regression guard for the serial hot-path kernels.
 
 Measures the serial micro-kernels the PR-2 and PR-7 optimisations target
-— frame codec round-trip, partition-key sorting, streaming run merge,
-incremental hash update, their columnar *batch* counterparts and the
-chained-job partition cache — and guards them two ways:
+— frame codec round-trip, per-pair size accounting and partitioning,
+partition-key sorting, streaming run merge, incremental hash update,
+their columnar *batch* counterparts and the chained-job partition
+cache — and guards them two ways:
 
 * **Ratio guard** — each timing is normalised by a fixed pure-Python
   calibration loop run on the same machine.  The resulting *scores* are
@@ -68,6 +69,7 @@ PAIRED_OVERHEAD = {
 #: names *which phase* regressed, not just which micro-kernel.
 KERNEL_PHASES = {
     "frames_roundtrip": "shuffle",
+    "pair_accounting": "map",
     "partition_sort": "sort",
     "batch_partition_sort": "sort",
     "merge_streams": "merge",
@@ -158,6 +160,30 @@ def kernel_frames_roundtrip() -> None:
     pairs = _click_pairs()
     data = encode_frames(pairs)
     assert sum(1 for _ in iter_frames(data)) == len(pairs)
+
+
+def _session_pairs() -> list[tuple[int, tuple[float, str]]]:
+    def build() -> list[tuple[int, tuple[float, str]]]:
+        rng = random.Random(2011)
+        return [
+            (rng.randrange(5_000), (rng.random() * 3600.0, f"/page/{rng.randrange(1_000)}"))
+            for _ in range(100_000)
+        ]
+
+    return _dataset("session_pairs", build)
+
+
+def kernel_pair_accounting() -> None:
+    """The map side's per-pair "collect" work: size accounting of key and
+    value plus the partition choice, over 100k sessionize-shaped
+    ``(user, (timestamp, url))`` pairs and four reducers."""
+    from repro.io.serialization import estimate_size
+    from repro.mapreduce.partition import hash_partitioner
+
+    total = 0
+    for key, value in _session_pairs():
+        total += estimate_size(key) + estimate_size(value) + hash_partitioner(key, 4)
+    assert total > 0
 
 
 def _partition_rows() -> list[tuple[int, str, float]]:
@@ -421,6 +447,7 @@ def kernel_san_overhead() -> None:
 #: count turns the wall time into the records/sec figure the floors guard.
 KERNELS = {
     "frames_roundtrip": (kernel_frames_roundtrip, 20_000),
+    "pair_accounting": (kernel_pair_accounting, 100_000),
     "partition_sort": (kernel_partition_sort, 120_000),
     "batch_partition_sort": (kernel_batch_partition_sort, 120_000),
     "merge_streams": (kernel_merge_streams, 120_000),

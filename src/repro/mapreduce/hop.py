@@ -279,22 +279,22 @@ class _PipelinedMapTask:
             map_span.set(records=n_in, bytes=input_bytes)
 
     def _run_tuple(self, records: Iterable[Any]) -> tuple[int, float]:
-        counters = self.counters
         chunk: list[tuple[int, Any, Any]] = []
         map_fn = self.job.map_fn
+        partitioner = self.partitioner
         perf = time.perf_counter
         t_map = 0.0
         n_in = 0
         num_partitions = self.job.config.num_reducers
+        granularity = self.hop.granularity_records
         for record in records:
             n_in += 1
             t0 = perf()
             emitted = list(map_fn(record))
             t_map += perf() - t0
             for key, value in emitted:
-                chunk.append((self.partitioner(key, num_partitions), key, value))
-                counters.inc(C.MAP_OUTPUT_RECORDS)
-            if len(chunk) >= self.hop.granularity_records:
+                chunk.append((partitioner(key, num_partitions), key, value))
+            if len(chunk) >= granularity:
                 self._emit_chunk(chunk)
                 chunk = []
         if chunk:
@@ -309,7 +309,6 @@ class _PipelinedMapTask:
         count — so spill/emit points and combiner group boundaries are
         identical.
         """
-        counters = self.counters
         map_fn = self.job.map_fn
         partitioner = self.partitioner
         perf = time.perf_counter
@@ -327,7 +326,6 @@ class _PipelinedMapTask:
             t_map += perf() - t0
             for key, value in emitted:
                 appends[partitioner(key, num_partitions)]((key, value))
-                counters.inc(C.MAP_OUTPUT_RECORDS)
                 pending += 1
             if pending >= granularity:
                 self._emit_buckets(buckets, pending)
@@ -340,6 +338,7 @@ class _PipelinedMapTask:
 
     def _emit_chunk(self, chunk: list[tuple[int, Any, Any]]) -> None:
         """Sort one mini-chunk and emit its partition pieces in order."""
+        self.counters.inc(C.MAP_OUTPUT_RECORDS, len(chunk))
         with self.tracer.span(
             "sort",
             "sort",
@@ -404,6 +403,7 @@ class _PipelinedMapTask:
         in ascending partition order, which is the order the tuple path's
         ``(partition, key)``-sorted chunk yields its partition slices.
         """
+        self.counters.inc(C.MAP_OUTPUT_RECORDS, total)
         with self.tracer.span(
             "sort",
             "sort",

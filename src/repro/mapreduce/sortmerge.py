@@ -97,7 +97,6 @@ class _SortSpillBuffer:
         partition = self.partitioner(key, self.job.config.num_reducers)
         self._entries.append((partition, key, value))
         self._bytes += estimate_size(key) + estimate_size(value) + _RECORD_OVERHEAD
-        self.counters.inc(C.MAP_OUTPUT_RECORDS)
         if self._bytes >= self.job.config.map_buffer_bytes:
             self.spill()
 
@@ -109,6 +108,9 @@ class _SortSpillBuffer:
         self._entries = []
         self._bytes = 0
 
+        # Every buffered pair passes through exactly one spill, so map
+        # output is counted here, once per spill.
+        self.counters.inc(C.MAP_OUTPUT_RECORDS, len(entries))
         self.tracer.metrics.histogram("map.sort.records").observe(len(entries))
         with self.tracer.span(
             "sort", "sort", node=self.node, task=self._task, cost=len(entries)
@@ -267,7 +269,6 @@ class _BatchSortSpillBuffer(_SortSpillBuffer):
         partition = self.partitioner(key, self.job.config.num_reducers)
         self._buckets[partition].append((key, value))
         self._bytes += estimate_size(key) + estimate_size(value) + _RECORD_OVERHEAD
-        self.counters.inc(C.MAP_OUTPUT_RECORDS)
         if self._bytes >= self.job.config.map_buffer_bytes:
             self.spill()
 
@@ -279,6 +280,7 @@ class _BatchSortSpillBuffer(_SortSpillBuffer):
         buckets = self._buckets
         self._buckets = [[] for _ in range(self.job.config.num_reducers)]
         self._bytes = 0
+        self.counters.inc(C.MAP_OUTPUT_RECORDS, total)
 
         with self.tracer.span(
             "sort", "sort", node=self.node, task=self._task, cost=total

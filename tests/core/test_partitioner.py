@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 from repro.core.aggregates import COUNT, SUM
+from repro.core.hash_tables import AccountedStateTable
 from repro.core.hybrid_hash import SpilledState
 from repro.core.partitioner import MapSideHashCombiner, ScanPartitionBuffer
 from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.partition import hash_partitioner
 
 
 class Sink:
@@ -124,8 +126,54 @@ class TestMapSideHashCombiner:
                 merged[k] = merged.get(k, 0) + v.state.result()
         assert merged == expected
 
+    def test_flushes_on_the_same_pairs_as_a_full_sum(self):
+        pairs = [(f"k{i % 97}", i) for i in range(3000)]
+        # A budget the tables reach exactly after the 50th pair: the flush
+        # must land on that pair, not one later.
+        _, memory = _summing_combiner(pairs[:50], 5, 1 << 30)
+        comb = MapSideHashCombiner(5, SUM, Sink(), memory_bytes=memory)
+        flushed_after = []
+        for i, (key, value) in enumerate(pairs):
+            before = comb.flushes
+            comb.add(key, value)
+            if comb.flushes != before:
+                flushed_after.append(i)
+        assert flushed_after[0] == 49
+        assert flushed_after == _summing_combiner(pairs, 5, memory)[0]
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_counts_map_output_records(self, batch):
+        counters = Counters()
+        comb = MapSideHashCombiner(3, SUM, Sink(), memory_bytes=2048, counters=counters)
+        pairs = [(f"k{i % 40}", 1) for i in range(500)]
+        if batch:
+            comb.add_batch(pairs)
+        else:
+            for key, value in pairs:
+                comb.add(key, value)
+        comb.finish()
+        assert comb.flushes > 1
+        assert counters[C.MAP_OUTPUT_RECORDS] == 500
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MapSideHashCombiner(0, COUNT, Sink())
         with pytest.raises(ValueError):
             MapSideHashCombiner(1, COUNT, Sink(), memory_bytes=0)
+
+
+def _summing_combiner(pairs, num_partitions, memory):
+    """Replay a combiner that sums every partition's table after each pair.
+
+    Returns the indices of the pairs it flushed after and the tables'
+    total after the last pair.
+    """
+    tables = [AccountedStateTable(SUM) for _ in range(num_partitions)]
+    points = []
+    for i, (key, value) in enumerate(pairs):
+        tables[hash_partitioner(key, num_partitions)].update(key, value)
+        if sum(t.used_bytes for t in tables) >= memory:
+            points.append(i)
+            for table in tables:
+                table.clear()
+    return points, sum(t.used_bytes for t in tables)

@@ -1,5 +1,8 @@
 """Framing, codecs and size estimation — including property tests."""
 
+import sys
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +51,19 @@ class TestFrames:
         data = encode_frames([1])
         with pytest.raises(Exception):
             frame_count(data + b"\xff\xff\xff\xff")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            encode_frames([1, 2])[:2],  # cut inside the first header
+            encode_frames([1]) + b"\x01",  # one dangling header byte
+        ],
+    )
+    def test_frame_count_rejects_truncated_header(self, data):
+        with pytest.raises(ValueError, match="truncated frame header"):
+            list(iter_frames(data))
+        with pytest.raises(ValueError, match="truncated frame header"):
+            frame_count(data)
 
 
 class TestTextLineCodec:
@@ -124,3 +140,92 @@ class TestEstimateSize:
     @settings(max_examples=60)
     def test_never_negative_or_zero(self, obj):
         assert estimate_size(obj) > 0
+
+
+def _reference_estimate_size(obj, _depth=0):
+    """The plain recursive estimator, frozen here as the reference.
+
+    Spill points, merge passes and disk volumes follow from these values,
+    so the inlined :func:`estimate_size` must match it exactly on every
+    input.
+    """
+    t = type(obj)
+    base = {int: 28, float: 24, bool: 28, type(None): 16}.get(t)
+    if base is not None:
+        return base
+    if t is str:
+        return 49 + len(obj)
+    if t is bytes or t is bytearray:
+        return 33 + len(obj)
+    if t in (tuple, list):
+        size = sys.getsizeof(obj)
+        if _depth >= 3:
+            return size
+        return size + sum(_reference_estimate_size(x, _depth + 1) for x in obj)
+    if t is dict:
+        size = sys.getsizeof(obj)
+        if _depth >= 3:
+            return size
+        return size + sum(
+            _reference_estimate_size(k, _depth + 1)
+            + _reference_estimate_size(v, _depth + 1)
+            for k, v in obj.items()
+        )
+    if t is set or t is frozenset:
+        size = sys.getsizeof(obj)
+        if _depth >= 3:
+            return size
+        return size + sum(_reference_estimate_size(x, _depth + 1) for x in obj)
+    return sys.getsizeof(obj)
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+_leaves = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=20),
+    st.binary(max_size=20),
+)
+_hashables = st.one_of(_leaves, st.tuples(_leaves, _leaves), st.frozensets(_leaves, max_size=3))
+
+
+def _nested(depth):
+    """Values nested up to ``depth`` container levels (past the cut-off of 3)."""
+    if depth == 0:
+        return _leaves
+    inner = st.deferred(lambda: _nested(depth - 1))
+    return st.one_of(
+        _leaves,
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4),
+        st.dictionaries(_hashables, inner, max_size=3),
+        st.sets(_hashables, max_size=4),
+        st.frozensets(_hashables, max_size=4),
+        st.builds(_Pair, inner, inner),
+    )
+
+
+class TestEstimateSizeContract:
+    @given(_nested(5))
+    @settings(max_examples=300)
+    def test_matches_reference(self, obj):
+        assert estimate_size(obj) == _reference_estimate_size(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            (),
+            (7, (1.5, "http://example.com/p")),
+            tuple(range(1000)),
+            ((((1, "a"),),),),
+            [1, 2.0, "x", b"y", None, True],
+            _Pair(1, "a"),
+            {"k": [1, (2, "b")]},
+            2**200,
+        ],
+    )
+    def test_matches_reference_on_fixed_values(self, obj):
+        assert estimate_size(obj) == _reference_estimate_size(obj)
