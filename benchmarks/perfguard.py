@@ -1,10 +1,10 @@
 """Perf-regression guard for the serial hot-path kernels.
 
 Measures the serial micro-kernels the PR-2 and PR-7 optimisations target
-— frame codec round-trip, per-pair size accounting and partitioning,
-partition-key sorting, streaming run merge, incremental hash update,
-their columnar *batch* counterparts and the chained-job partition
-cache — and guards them two ways:
+— frame codec round-trip, block-framed run write and stream, per-pair
+size accounting and partitioning, partition-key sorting, streaming run
+merge, incremental hash update, their columnar *batch* counterparts and
+the chained-job partition cache — and guards them two ways:
 
 * **Ratio guard** — each timing is normalised by a fixed pure-Python
   calibration loop run on the same machine.  The resulting *scores* are
@@ -69,6 +69,7 @@ PAIRED_OVERHEAD = {
 #: names *which phase* regressed, not just which micro-kernel.
 KERNEL_PHASES = {
     "frames_roundtrip": "shuffle",
+    "run_roundtrip": "spill",
     "pair_accounting": "map",
     "partition_sort": "sort",
     "batch_partition_sort": "sort",
@@ -184,6 +185,20 @@ def kernel_pair_accounting() -> None:
     for key, value in _session_pairs():
         total += estimate_size(key) + estimate_size(value) + hash_partitioner(key, 4)
     assert total > 0
+
+
+def kernel_run_roundtrip() -> None:
+    """Write the 100k ``(user, (timestamp, url))`` session pairs as one
+    block-framed run on a :class:`LocalDisk` and stream them back — the
+    encode/decode cost every spill, merge pass, shuffle segment and hash
+    partition pays per pair."""
+    from repro.io.disk import LocalDisk
+    from repro.io.runio import stream_run, write_run
+
+    pairs = _session_pairs()
+    disk = LocalDisk()
+    write_run(disk, "run", pairs)
+    assert sum(1 for _ in stream_run(disk, "run")) == len(pairs)
 
 
 def _partition_rows() -> list[tuple[int, str, float]]:
@@ -447,6 +462,7 @@ def kernel_san_overhead() -> None:
 #: count turns the wall time into the records/sec figure the floors guard.
 KERNELS = {
     "frames_roundtrip": (kernel_frames_roundtrip, 20_000),
+    "run_roundtrip": (kernel_run_roundtrip, 100_000),
     "pair_accounting": (kernel_pair_accounting, 100_000),
     "partition_sort": (kernel_partition_sort, 120_000),
     "batch_partition_sort": (kernel_batch_partition_sort, 120_000),

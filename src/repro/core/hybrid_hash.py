@@ -65,7 +65,9 @@ class HybridHashGrouper:
         ``B``, the fan-out of disk partitioning on overflow.
     max_levels:
         Recursion cap; beyond it a partition is processed without a budget
-        (only reachable under adversarial hash collisions).
+        (only reachable under adversarial hash collisions).  A partition
+        whose spilled pairs all share one key is processed without a
+        budget at once: rehashing can never split it.
     """
 
     def __init__(
@@ -99,6 +101,10 @@ class HybridHashGrouper:
         self._frozen = False
         self._writers: list[RunWriter | None] = [None] * spill_partitions
         self._spilled_pairs = [0] * spill_partitions
+        # Per bucket: the first spilled key, and whether every later one
+        # equalled it.
+        self._first_keys: list[Any] = [None] * spill_partitions
+        self._single_key = [True] * spill_partitions
         self._finished = False
 
     # -- ingestion -----------------------------------------------------------
@@ -200,6 +206,9 @@ class HybridHashGrouper:
             path = f"{self.namespace}/hh-l{self.level}-b{bucket:03d}"
             writer = RunWriter(self.disk, path)
             self._writers[bucket] = writer
+            self._first_keys[bucket] = key
+        elif self._single_key[bucket] and key != self._first_keys[bucket]:
+            self._single_key[bucket] = False
         writer.write((key, value))
         self._spilled_pairs[bucket] += 1
 
@@ -229,9 +238,11 @@ class HybridHashGrouper:
 
     def _process_partition(self, path: str, bucket: int) -> Iterator[tuple[Any, Any]]:
         pairs = stream_run(self.disk, path)
-        if self.level + 1 >= self.max_levels:
-            # Pathological recursion (hash collisions): finish without a
-            # budget rather than loop forever.
+        if self._single_key[bucket] or self.level + 1 >= self.max_levels:
+            # One key cannot be split by rehashing, and past max_levels
+            # only hash collisions remain: finish without a budget rather
+            # than re-spill the same pairs level after level.  Values
+            # arrive in the order the recursion would see them.
             table = AccountedStateTable(self.aggregator)
             for key, value in pairs:
                 if isinstance(value, SpilledState):

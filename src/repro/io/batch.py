@@ -238,18 +238,6 @@ class RecordBatch:
             out += values[offset : offset + length]
         return bytes(out)
 
-    def encode_pairs(self) -> bytes:
-        """Serialize as the PR 2 *pair* framing (one frame per pair).
-
-        Byte-identical to ``encode_frames(self.to_pairs())`` — the format
-        spill files, runs and shuffle segments use — so a batch can feed
-        :func:`repro.io.runio.write_run` paths without disturbing the
-        determinism contract.
-        """
-        from repro.io.serialization import encode_frames
-
-        return encode_frames(self.iter_pairs())
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RecordBatch(n={len(self.keys)}, value_bytes={self.value_bytes})"
 

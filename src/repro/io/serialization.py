@@ -8,10 +8,12 @@ Two record codecs mirror the paper's parsing-cost experiment (§III.B.1):
 * :class:`BinaryCodec` — a SequenceFile-like binary format (length-prefixed
   pickled records) that skips text parsing entirely.
 
-Intermediate data (map output, spill files, shuffle segments) is framed with
-:func:`encode_frames` / :func:`iter_frames`: a stream of length-prefixed
-pickled objects that can be read incrementally without materialising the
-whole file.
+:func:`encode_frames` / :func:`iter_frames` are the per-record framing
+behind :class:`BinaryCodec`: a stream of length-prefixed pickled objects
+that can be read incrementally without materialising the whole buffer.
+Intermediate data (spill files, merge outputs, shuffle segments, hash
+partitions) does not use it; those are runs, framed one pickle per block
+of pairs by :mod:`repro.io.runio`.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ def encode_frames(items: Iterable[Any]) -> bytes:
     """Serialize ``items`` as a stream of length-prefixed pickle frames.
 
     Frames accumulate into one growing :class:`bytearray` (amortised
-    doubling) instead of a list of 2-element fragments joined at the end —
-    this is the framing hot path for every spill, run and shuffle segment.
+    doubling) instead of a list of 2-element fragments joined at the end.
     """
     buf = bytearray()
     pack = _LEN.pack

@@ -407,7 +407,7 @@ class PartitionLog:
     def _read_entry(self, entry: _LogEntry) -> list[tuple[Any, Any]]:
         """Read one logged chunk, skipping lost *and corrupt* replicas.
 
-        A torn write leaves a truncated trailing frame; ``stream_run``
+        A torn write leaves a truncated trailing block; ``stream_run``
         raises for it, and a replica whose record count disagrees with
         the log's own bookkeeping is equally untrustworthy.  Either way
         the next replica is tried; only when none is intact does the

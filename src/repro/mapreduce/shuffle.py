@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.io.disk import LocalDisk
-from repro.io.runio import read_run
-from repro.io.serialization import iter_frames
+from repro.io.runio import decode_run, read_run
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.recovery import FetchRetryPolicy
@@ -171,7 +170,7 @@ class ShuffleService:
         if use_cache:
             # Fresh output is still in the mapper's page cache; no disk read,
             # but the bytes still cross the network.
-            pairs = tuple(iter_frames(disk.peek(segment.path)))
+            pairs = tuple(decode_run(disk.peek(segment.path)))
         else:
             pairs = tuple(read_run(disk, segment.path))
         self._fetched.add(key)

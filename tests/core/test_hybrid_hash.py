@@ -96,6 +96,27 @@ class TestOverflow:
         results, _, _, _ = group_all(pairs, 4096, aggregator=COLLECT)
         assert len(results["big"]) == 400
 
+    def test_single_key_partition_is_not_respilled(self):
+        # One key whose state alone exceeds the budget cannot be split by
+        # rehashing; its partition must be finished at the first level
+        # where it is alone instead of re-spilled down to max_levels.
+        pairs = [(f"light{i % 20}", i) for i in range(100)]
+        pairs += [("heavy", i) for i in range(2000)]
+        pairs += [(f"light{i % 20}", -i) for i in range(100)]
+        unbudgeted, *_ = group_all(pairs, 1 << 30, aggregator=COLLECT)
+        spills = set()
+        for max_levels in (16, 24):
+            results, disk, counters, _ = group_all(
+                pairs, 1024, aggregator=COLLECT, max_levels=max_levels
+            )
+            assert results == unbudgeted
+            assert disk.list_files("hh/") == []
+            # Re-spilling "heavy" at every level would alone cost
+            # max_levels - 1 spills.
+            assert counters[C.REDUCE_SPILLS] < max_levels - 1
+            spills.add(counters[C.REDUCE_SPILLS])
+        assert len(spills) == 1  # the recursion depth no longer matters
+
     def test_spilled_state_roundtrip(self):
         inner = COUNT.initial()
         inner.update(None)

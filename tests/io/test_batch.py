@@ -12,7 +12,6 @@ import pytest
 
 from repro.io.batch import RecordBatch, fanout_pairs, merge_segments, sort_bucket
 from repro.io.disk import LocalDisk
-from repro.io.serialization import encode_frames
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.partition import hash_partitioner
 
@@ -41,10 +40,6 @@ class TestDegenerateBatches:
     def test_roundtrip_preserves_order_and_values(self):
         batch = RecordBatch.from_pairs(PAIRS)
         assert RecordBatch.decode(batch.encode()).to_pairs() == PAIRS
-
-    def test_encode_pairs_matches_pr2_framing(self):
-        batch = RecordBatch.from_pairs(PAIRS)
-        assert batch.encode_pairs() == encode_frames(PAIRS)
 
 
 class TestZeroCopy:
