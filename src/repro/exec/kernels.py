@@ -182,27 +182,25 @@ def hop_map_kernel(ctx: dict[str, Any], spec: HopMapSpec) -> HopMapResult:
     """One pipelined map task; staging I/O (fault path) hits a shadow disk."""
     from repro.mapreduce.hop import _FrozenStageRouter, _PipelinedMapTask
 
-    job = ctx["job"]
     hop = ctx["hop"]
-    records = ctx["codec"].decode(spec.data)
     tracer = task_tracer(bool(ctx.get("trace")))
+    disk = LocalDisk(spec.profile, name=spec.disk_name)
+    chunks: list[tuple[int, list[tuple[Any, Any]], int]] = []
+    task = _PipelinedMapTask(
+        ctx["job"],
+        spec.task_id,
+        spec.node,
+        disk,
+        hop,
+        lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
+        tracer=tracer,
+    )
+    records = timed_decode(ctx["codec"], spec.data, task.counters)
 
     if spec.frozen_backlogs is None:
-        chunks: list[tuple[int, list[tuple[Any, Any]], int]] = []
-        task = _PipelinedMapTask(
-            job,
-            spec.task_id,
-            spec.node,
-            LocalDisk(spec.profile, name=spec.disk_name),
-            hop,
-            lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
-            tracer=tracer,
-        )
         task.run(records, input_bytes=len(spec.data))
         return HopMapResult(chunks=chunks, counters=task.counters, trace=tracer.export())
 
-    disk = LocalDisk(spec.profile, name=spec.disk_name)
-    task = _PipelinedMapTask(job, spec.task_id, spec.node, disk, hop, None, tracer=tracer)
     router = _FrozenStageRouter(
         spec.task_id, disk, task.counters, hop.backpressure_bytes, spec.frozen_backlogs
     )
@@ -232,6 +230,8 @@ class OnePassMapResult:
     staged: list[tuple[int, list[tuple[Any, Any]], int]]
     counters: Counters
     trace: Any = None
+    #: Always ``None``: the one-pass map side does no disk I/O.
+    disk: DiskExport | None = None
 
 
 def onepass_map_kernel(ctx: dict[str, Any], spec: OnePassMapSpec) -> OnePassMapResult:

@@ -166,9 +166,10 @@ DiscardFn = Callable[[str, Any], None]
 class RecoveryManager:
     """Shared attempt loops: map retries + speculation, reduce retries.
 
-    Both the Hadoop and one-pass engines route every task execution
-    through this one loop, so attempt semantics (who is charged, where
-    retries land, when the job aborts) cannot drift between engines.
+    All three engines route every task execution through this one loop
+    (via :class:`~repro.mapreduce.driver.JobDriver`), so attempt semantics
+    (who is charged, where retries land, when the job aborts) cannot drift
+    between engines.  Without a fault plan a task is one attempt.
     ``attempt_fn(node)`` runs one attempt and returns its result with the
     work already charged to the job — recovery costs real resources;
     ``discard_fn(node, result)`` cleans up a dead or losing attempt.
@@ -196,6 +197,12 @@ class RecoveryManager:
         slowdown = self.fault_plan.slowdown(node) if self.fault_plan else 1.0
         return base * slowdown
 
+    @staticmethod
+    def candidates(preferred_node: str, live_nodes: list[str]) -> list[str]:
+        """Attempt order for a map task: its node if live, then the others."""
+        first = [preferred_node] if preferred_node in live_nodes else []
+        return first + [n for n in live_nodes if n != preferred_node]
+
     def run_map_task(
         self,
         task_id: int,
@@ -214,8 +221,7 @@ class RecoveryManager:
         wins, the loser's work is counted as waste).
         """
         plan = self.fault_plan
-        candidates = [n for n in (preferred_node,) if n in live_nodes]
-        candidates += [n for n in live_nodes if n != preferred_node]
+        candidates = self.candidates(preferred_node, live_nodes)
         if not candidates:
             raise RuntimeError(f"map task {task_id}: no live nodes to run on")
         attempts = plan.max_attempts if plan is not None else 1

@@ -6,7 +6,9 @@ accounted local disks and a DataNode — plus an HDFS namespace over them.
 on that cluster exactly the way the paper describes Hadoop doing it:
 block-level map tasks with locality-aware scheduling, sort-spill map
 output, pull shuffle after each map completion, multi-pass merge, blocking
-reduce.
+reduce.  The job skeleton it shares with the other engines is
+:class:`~repro.mapreduce.driver.JobDriver`; this module supplies the
+sort-merge task strategy.
 
 Everything runs in one Python process (task "parallelism" is logical), but
 all data movement is real: records are really mapped, sorted, spilled,
@@ -15,42 +17,22 @@ merged and reduced, and every byte is accounted on the node disks.
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.exec import resolve_executor
 from repro.hdfs.datanode import DataNode
-from repro.hdfs.filesystem import HDFS, InputSplit
+from repro.hdfs.filesystem import HDFS
 from repro.io.device import HDD_7200RPM, SSD_SATA, DeviceProfile
 from repro.io.disk import DiskStats, LocalDisk
 from repro.mapreduce.api import MapReduceJob
-from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.counters import C
+from repro.mapreduce.driver import JobDriver, JobResult, JobRun
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.journal import (
-    K_JOB_SPEC,
-    K_MAP_COMMIT,
-    K_OUTPUT_COMMIT,
-    K_REDUCE_COMMIT,
-    K_SHUFFLE_COMMIT,
-    K_TASK_GRANT,
-    NULL_JOURNAL,
-    emit_committed_output,
-    job_fingerprint,
-    output_digest,
-)
-from repro.mapreduce.recovery import (
-    FetchRetryPolicy,
-    RecoveryManager,
-    SpeculationPolicy,
-    TaskLineage,
-)
-from repro.mapreduce.scheduler import ScheduleStats, TaskAssignment, WaveScheduler
+from repro.mapreduce.recovery import FetchRetryPolicy, SpeculationPolicy, TaskLineage
+from repro.mapreduce.scheduler import TaskAssignment, WaveScheduler
 from repro.mapreduce.shuffle import FetchFailedError, ShuffleService
-from repro.mapreduce.sortmerge import MapOutput, SortMergeReduceTask
-from repro.obs.log import get_logger
-from repro.obs.tracer import NULL_TRACER, byte_cost
+from repro.mapreduce.sortmerge import SortMergeReduceTask
+from repro.obs.tracer import byte_cost
 
 __all__ = ["ClusterNode", "LocalCluster", "JobResult", "HadoopEngine"]
 
@@ -181,40 +163,7 @@ class LocalCluster:
         return total
 
 
-@dataclass(slots=True)
-class JobResult:
-    """Outcome of one engine run: counters, timings and output location."""
-
-    job_name: str
-    engine: str
-    output_path: str
-    counters: Counters
-    wall_time: float
-    phase_times: dict[str, float] = field(default_factory=dict)
-    schedule: ScheduleStats | None = None
-    network_bytes: int = 0
-    output_records: int = 0
-    snapshots: list[Any] = field(default_factory=list)
-    extras: dict[str, Any] = field(default_factory=dict)
-    #: The run's merged :class:`~repro.obs.tracer.Tracer` when tracing was
-    #: on, else ``None``.
-    trace: Any = None
-
-    def summary(self) -> dict[str, float]:
-        """The headline numbers for reports."""
-        c = self.counters
-        return {
-            "wall_time": self.wall_time,
-            "map_input_bytes": c[C.MAP_INPUT_BYTES],
-            "map_output_bytes": c[C.MAP_OUTPUT_BYTES],
-            "reduce_spill_bytes": c[C.REDUCE_SPILL_BYTES],
-            "merge_read_bytes": c[C.MERGE_READ_BYTES],
-            "output_records": self.output_records,
-            "network_bytes": self.network_bytes,
-        }
-
-
-class HadoopEngine:
+class HadoopEngine(JobDriver):
     """The sort-merge baseline: stock Hadoop's execution model.
 
     ``fault_plan`` injects deterministic failures, all recovered the way
@@ -241,6 +190,8 @@ class HadoopEngine:
     """
 
     name = "hadoop"
+    map_kernel = "hadoop_map"
+    reduce_kernel = "hadoop_reduce"
 
     def __init__(
         self,
@@ -257,147 +208,126 @@ class HadoopEngine:
     ) -> None:
         if fetch_interval < 1:
             raise ValueError("fetch_interval must be >= 1")
-        self.cluster = cluster
-        self.scheduler = WaveScheduler(
-            cluster.compute_node_names, map_slots=map_slots
+        super().__init__(
+            cluster,
+            map_slots=map_slots,
+            fault_plan=fault_plan,
+            speculation=speculation,
+            executor=executor,
+            tracer=tracer,
+            journal=journal,
         )
-        self.fault_plan = fault_plan
         self.fetch_interval = fetch_interval
         self.retry_policy = retry_policy
-        self.speculation = speculation
-        self.executor = resolve_executor(executor)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.journal = journal if journal is not None else NULL_JOURNAL
 
-    # -- input ------------------------------------------------------------
+    def run(self, job: MapReduceJob) -> JobResult:
+        """Execute ``job``; returns the merged counters and output path."""
+        return self._drive(job)
 
-    def _read_block(self, split: InputSplit, node: str) -> tuple[bytes, bool]:
-        """Read a split's raw bytes, preferring the local replica."""
-        hdfs = self.cluster.hdfs
-        local = node in split.preferred_nodes
-        data = hdfs.read_block_bytes(split.block_id, from_node=node if local else None)
-        return data, local
+    # -- map side -------------------------------------------------------------
 
-    # -- execution -----------------------------------------------------------
+    def _new_reducer(self, r: JobRun, partition: int, node: str) -> SortMergeReduceTask:
+        disk = self.cluster.nodes[node].intermediate_disk
+        return SortMergeReduceTask(r.job, partition, node, disk, tracer=self.tracer)
 
-    def _execute_map(
-        self,
-        job: MapReduceJob,
-        recovery: RecoveryManager,
-        session: Any,
-        task_id: int,
-        split: InputSplit,
-        preferred: str,
-        live: list[str],
-        counters: Counters,
-    ) -> tuple[str, MapOutput, int]:
-        """Run one map task through the shared recovery loop.
+    def _setup(self, r: JobRun) -> None:
+        r.shuffle = ShuffleService(
+            self.cluster.intermediate_disks(),
+            fault_plan=self.fault_plan,
+            retry_policy=self.retry_policy,
+        )
+        r.lineage = TaskLineage()
+        r.since_drain = 0
 
-        Returns ``(winning node, output, network bytes)``.  Every attempt
-        — killed, speculative loser or winner — charges its read, map,
-        sort and spill work to the job.
-        """
+    def _map_spec(self, r: JobRun, task_id: int, node: str, data: bytes) -> Any:
         from repro.exec.kernels import HadoopMapSpec
 
-        cluster = self.cluster
-        network_bytes = 0
+        disk = self.cluster.nodes[node].intermediate_disk
+        return HadoopMapSpec(task_id, node, data, disk.profile, disk.name)
 
-        def attempt(node: str) -> MapOutput:
-            nonlocal network_bytes
-            data, local = self._read_block(split, node)
-            if not local:
-                network_bytes += len(data)
-            disk = cluster.nodes[node].intermediate_disk
-            res = session.run_one(
-                "hadoop_map", HadoopMapSpec(task_id, node, data, disk.profile, disk.name)
-            )
-            disk.absorb(res.disk)
-            counters.merge(res.counters)
-            self.tracer.absorb(res.trace)
-            return res.output
+    def _deliver(self, r: JobRun, task_id: int, node: str, res: Any) -> int:
+        r.shuffle.register(res.output)
+        r.lineage.record(task_id, node, res.output.total_bytes)
+        return res.output.total_bytes
 
-        def discard(node: str, _output: MapOutput) -> None:
-            # The attempt died (or lost the speculative race) before its
-            # completion report: its output files are gone.
-            disk = cluster.nodes[node].intermediate_disk
-            disk.delete_prefix(f"mapout/{task_id:05d}")
-            disk.delete_prefix(f"mapspill/{task_id:05d}")
+    def _discard_map(self, task_id: int, node: str) -> None:
+        # The attempt died, lost the speculative race or is being re-run:
+        # its output files are gone.
+        disk = self.cluster.nodes[node].intermediate_disk
+        disk.delete_prefix(f"mapout/{task_id:05d}")
+        disk.delete_prefix(f"mapspill/{task_id:05d}")
 
-        node, output = recovery.run_map_task(
-            task_id, preferred, live, split.nbytes, attempt, discard
-        )
-        return node, output, network_bytes
+    def _map_completed(self, r: JobRun) -> None:
+        # Reducers pull every ``fetch_interval`` map completions.
+        r.since_drain += 1
+        if r.since_drain >= self.fetch_interval:
+            self._drain(r)
 
-    def _rerun_lost_map(
-        self,
-        job: MapReduceJob,
-        recovery: RecoveryManager,
-        session: Any,
-        shuffle: ShuffleService,
-        lineage: TaskLineage,
-        task_id: int,
-        live: list[str],
-        splits_by_task: dict[int, InputSplit],
-        counters: Counters,
-    ) -> int:
+    def _map_phase_done(self, r: JobRun) -> None:
+        if r.since_drain:
+            self._drain(r)
+
+    def _lost_maps(self, r: JobRun, crashed: str) -> list[TaskAssignment]:
+        # Completed map output on the node died with it.
+        lost = r.lineage.tasks_on(crashed)
+        for task_id in lost:
+            r.shuffle.invalidate(task_id)
+            r.lineage.forget(task_id)
+        if lost:
+            r.counters.inc(C.TASKS_RERUN, len(lost))
+        return self._reschedule(r, lost)
+
+    def _reschedule(self, r: JobRun, task_ids: list[int]) -> list[TaskAssignment]:
+        """Place map tasks to re-run on the live nodes, with locality."""
+        rescheduler = WaveScheduler(r.live, map_slots=self.scheduler.map_slots)
+        placed, _ = rescheduler.schedule([r.splits[t] for t in task_ids])
+        return [
+            TaskAssignment(task_ids[a.task_id], a.split, a.node, a.wave, a.data_local)
+            for a in placed
+        ]
+
+    def _rerun_lost_map(self, r: JobRun, task_id: int) -> None:
         """Re-execute a map whose output is lost; re-register fresh output.
 
         Already-delivered segments stay valid at their reducers (the
         shuffle keeps fetch marks across ``invalidate``), so only the
         still-missing segments are served from the new output.
         """
-        old_node = lineage.node_of(task_id)
+        old_node = r.lineage.node_of(task_id)
         if old_node is not None:
-            disk = self.cluster.nodes[old_node].intermediate_disk
-            disk.delete_prefix(f"mapout/{task_id:05d}")
-            disk.delete_prefix(f"mapspill/{task_id:05d}")
-        shuffle.invalidate(task_id)
-        lineage.forget(task_id)
-        counters.inc(C.TASKS_RERUN)
+            self._discard_map(task_id, old_node)
+        r.shuffle.invalidate(task_id)
+        r.lineage.forget(task_id)
+        r.counters.inc(C.TASKS_RERUN)
         self.tracer.event(
             "map.rerun", "recovery", node=old_node or "", task=f"map:{task_id:05d}"
         )
-        split = splits_by_task[task_id]
-        rescheduler = WaveScheduler(live, map_slots=self.scheduler.map_slots)
-        preferred = rescheduler.schedule([split])[0][0].node
-        self.journal.append(K_TASK_GRANT, task=task_id, node=preferred)
-        node, output, network_bytes = self._execute_map(
-            job, recovery, session, task_id, split, preferred, live, counters
-        )
-        shuffle.register(output)
-        lineage.record(task_id, node, output.total_bytes)
-        self.journal.append(
-            K_MAP_COMMIT, task=task_id, node=node, nbytes=output.total_bytes
-        )
-        return network_bytes
+        wave = self._reschedule(r, [task_id])
+        self._run_map(r, wave[0], self._dispatch_maps(r, wave)[0])
 
-    def _pull_partition(
-        self,
-        partition: int,
-        rtask: SortMergeReduceTask,
-        job: MapReduceJob,
-        recovery: RecoveryManager,
-        session: Any,
-        shuffle: ShuffleService,
-        lineage: TaskLineage,
-        live: list[str],
-        splits_by_task: dict[int, InputSplit],
-        counters: Counters,
-    ) -> int:
-        """Fetch every pending segment for ``partition`` into ``rtask``.
+    # -- shuffle ---------------------------------------------------------------
+
+    def _drain(self, r: JobRun) -> None:
+        r.since_drain = 0
+        for partition in sorted(r.reduce_tasks):
+            if partition not in r.committed:  # journaled output; nothing to pull
+                self._pull_partition(r, partition)
+
+    def _pull_partition(self, r: JobRun, partition: int) -> None:
+        """Fetch every pending segment for ``partition`` into its reduce task.
 
         A segment that exhausts its fetch retries ("too many fetch
         failures") re-executes its map task; the loop then pulls from the
-        fresh output.  Returns the network bytes spent on re-executions.
+        fresh output.
         """
-        network_bytes = 0
+        rtask = r.reduce_tasks[partition]
         while True:
-            pending = shuffle.pending_fetches(partition)
+            pending = r.shuffle.pending_fetches(partition)
             if not pending:
-                return network_bytes
+                return
             for task_id in pending:
                 try:
-                    seg = shuffle.fetch(task_id, partition)
+                    seg = r.shuffle.fetch(task_id, partition)
                 except FetchFailedError:
                     self.tracer.event(
                         "shuffle.fetch_failed",
@@ -406,18 +336,8 @@ class HadoopEngine:
                         task=f"reduce:{partition:03d}",
                         map_task=task_id,
                     )
-                    with counters.timer(C.T_RECOVERY):
-                        network_bytes += self._rerun_lost_map(
-                            job,
-                            recovery,
-                            session,
-                            shuffle,
-                            lineage,
-                            task_id,
-                            live,
-                            splits_by_task,
-                            counters,
-                        )
+                    with r.counters.timer(C.T_RECOVERY):
+                        self._rerun_lost_map(r, task_id)
                     continue
                 self.tracer.metrics.histogram("shuffle.segment.bytes").observe(
                     seg.nbytes
@@ -433,437 +353,52 @@ class HadoopEngine:
                 ):
                     rtask.accept_segment(list(seg.pairs), seg.nbytes)
 
-    def _handle_node_crash(
-        self,
-        crashed: str,
-        *,
-        job: MapReduceJob,
-        shuffle: ShuffleService,
-        lineage: TaskLineage,
-        reduce_tasks: dict[int, SortMergeReduceTask],
-        reducer_nodes: dict[int, str],
-        queue: deque[TaskAssignment],
-        splits_by_task: dict[int, InputSplit],
-        live: list[str],
-        counters: Counters,
-    ) -> None:
-        """JobTracker reaction to losing a whole node mid-job.
+    # -- reduce side -------------------------------------------------------------
 
-        The node's HDFS replicas re-replicate, its completed map tasks
-        re-execute on survivors (rescheduled with locality), and its
-        reduce tasks restart on survivors — their partitions re-pulled in
-        full on the next drain.
-        """
-        counters.inc(C.NODE_CRASHES)
-        self.tracer.event("node.crash", "recovery", node=crashed)
-        live.remove(crashed)
-        if not live:
-            raise RuntimeError(f"node crash of {crashed} left no live compute nodes")
-        self.cluster.wipe_node(crashed)
-        report = self.cluster.hdfs.handle_node_loss(crashed)
-        if report.blocks_rereplicated:
-            counters.inc(C.BLOCKS_REREPLICATED, report.blocks_rereplicated)
-            counters.inc(C.BYTES_REREPLICATED, report.bytes_rereplicated)
+    def _rebuild_reducer(self, r: JobRun, partition: int, node: str) -> SortMergeReduceTask:
+        # The lost task's fetched segments, merge runs and partial output
+        # are gone: a fresh task re-pulls the whole partition.
+        r.shuffle.reset_partition(partition)
+        return self._new_reducer(r, partition, node)
 
-        # Completed map output on the node died with it.
-        lost = lineage.tasks_on(crashed)
-        for task_id in lost:
-            shuffle.invalidate(task_id)
-            lineage.forget(task_id)
-        if lost:
-            counters.inc(C.TASKS_RERUN, len(lost))
-            rescheduler = WaveScheduler(live, map_slots=self.scheduler.map_slots)
-            reassigned, _ = rescheduler.schedule([splits_by_task[t] for t in lost])
-            for a in reassigned:
-                queue.append(
-                    TaskAssignment(lost[a.task_id], a.split, a.node, a.wave, a.data_local)
-                )
+    def _dispatch_reduces(self, r: JobRun, partitions: list[int]) -> dict[int, Any]:
+        # Ship each reduce task's ingested state (in-memory segments +
+        # on-disk runs) to the kernel.
+        from repro.exec.kernels import HadoopReduceSpec
 
-        # Reduce tasks resident on the node lost everything they fetched.
-        for partition in sorted(reducer_nodes):
-            if reducer_nodes[partition] != crashed:
-                continue
-            new_node = live[partition % len(live)]
-            reducer_nodes[partition] = new_node
-            dead = reduce_tasks[partition]
-            counters.merge(dead.counters)  # its work still happened
-            counters.inc(C.TASKS_RERUN)
-            reduce_tasks[partition] = SortMergeReduceTask(
-                job,
-                partition,
-                new_node,
-                self.cluster.nodes[new_node].intermediate_disk,
-                tracer=self.tracer,
-            )
-            shuffle.reset_partition(partition)
-
-    def run(self, job: MapReduceJob) -> JobResult:
-        """Execute ``job``; returns the merged counters and output path."""
-        from repro.exec.kernels import HadoopMapSpec, HadoopReduceSpec
-
-        if not job.input_path or not job.output_path:
-            raise ValueError("job must set input_path and output_path")
-        cluster = self.cluster
-        hdfs = cluster.hdfs
-        counters = Counters()
-        recovery = RecoveryManager(
-            self.fault_plan, counters, speculation=self.speculation, tracer=self.tracer
-        )
-        t_start = time.perf_counter()
-
-        splits = hdfs.input_splits(job.input_path)
-        assignments, sched_stats = self.scheduler.schedule(splits)
-        reducer_nodes = self.scheduler.assign_reducers(job.config.num_reducers)
-        splits_by_task = {a.task_id: a.split for a in assignments}
-        live = list(cluster.compute_node_names)
-
-        # ---- journal resume protocol ----
-        journal = self.journal
-        appends0, jbytes0 = journal.appends, journal.bytes_written
-        committed: dict[int, tuple[Any, ...]] = {}
-        if journal.enabled:
-            state = journal.resume_state()
-            fingerprint = job_fingerprint(job, self.name)
-            state.check_spec(fingerprint)
-            if state.truncated_bytes:
-                self.tracer.event(
-                    "journal.truncated", "journal", bytes=state.truncated_bytes
-                )
-            done = state.output_commits > 0
-            if done or state.complete(job.config.num_reducers):
-                # Every partition's output is journaled: rebuild the output
-                # file from commits alone, no recompute.  A journal that
-                # already holds the output commit gets zero new appends, so
-                # replaying it again is byte-identical (idempotent).
-                if not done:
-                    journal.append(
-                        K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-                    )
-                output_records = emit_committed_output(
-                    hdfs, job, reducer_nodes, state, counters, self.tracer
-                )
-                if not done:
-                    journal.append(
-                        K_OUTPUT_COMMIT,
-                        path=job.output_path,
-                        records=output_records,
-                        digest=output_digest(hdfs, job.output_path),
-                    )
-                journal.finalize()
-                counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-                counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-                return JobResult(
-                    job_name=job.name,
-                    engine=self.name,
-                    output_path=job.output_path,
-                    counters=counters,
-                    wall_time=time.perf_counter() - t_start,
-                    phase_times={"map": 0.0, "reduce": 0.0},
-                    schedule=sched_stats,
-                    network_bytes=0,
-                    output_records=output_records,
-                    trace=self.tracer if self.tracer.enabled else None,
-                )
-            journal.append(
-                K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-            )
-            committed = dict(state.reduce_commits)
-            if committed:
-                counters.inc(C.JOURNAL_REPLAYED_COMMITS, len(committed))
-                self.tracer.event(
-                    "journal.resume",
-                    "journal",
-                    commits=len(committed),
-                    checkpoints=len(state.checkpoints),
-                )
-
-        shuffle = ShuffleService(
-            cluster.intermediate_disks(),
-            fault_plan=self.fault_plan,
-            retry_policy=self.retry_policy,
-        )
-        reduce_tasks = {
-            p: SortMergeReduceTask(
-                job, p, node, cluster.nodes[node].intermediate_disk, tracer=self.tracer
-            )
-            for p, node in reducer_nodes.items()
-        }
-        lineage = TaskLineage()
-        network_bytes = 0
-        codec = hdfs.codec(hdfs.namenode.file_info(job.input_path).codec_name)
-        session = self.executor.session(
-            {"job": job, "codec": codec, "trace": self.tracer.enabled}
-        )
-
-        def drain() -> int:
-            net = 0
-            for partition in sorted(reduce_tasks):
-                if partition in committed:
-                    continue  # journaled output; nothing to pull
-                net += self._pull_partition(
+        specs = []
+        for partition in partitions:
+            node = r.reducer_nodes[partition]
+            disk = self.cluster.nodes[node].intermediate_disk
+            memory, memory_bytes, (runs, seq) = r.reduce_tasks[partition].export_ingested()
+            specs.append(
+                HadoopReduceSpec(
                     partition,
-                    reduce_tasks[partition],
-                    job,
-                    recovery,
-                    session,
-                    shuffle,
-                    lineage,
-                    live,
-                    splits_by_task,
-                    counters,
+                    node,
+                    disk.profile,
+                    disk.name,
+                    memory,
+                    memory_bytes,
+                    runs,
+                    seq,
+                    {path: disk.peek(path) for path, _ in runs},
                 )
-            return net
-
-        with session:
-            # ---- map phase (reducers pull every ``fetch_interval`` completions) ----
-            c_map0 = self.tracer.clock
-            t_map_start = time.perf_counter()
-            queue: deque[TaskAssignment] = deque(assignments)
-            completed_maps = 0
-            since_drain = 0
-            if self.fault_plan is None:
-                while queue:
-                    batch = [
-                        queue.popleft()
-                        for _ in range(min(len(queue), session.max_batch))
-                    ]
-                    specs = []
-                    for a in batch:
-                        journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
-                        data, local = self._read_block(a.split, a.node)
-                        if not local:
-                            network_bytes += len(data)
-                        disk = cluster.nodes[a.node].intermediate_disk
-                        specs.append(
-                            HadoopMapSpec(
-                                a.task_id, a.node, data, disk.profile, disk.name
-                            )
-                        )
-                    for a, res in zip(batch, session.run_batch("hadoop_map", specs)):
-                        cluster.nodes[a.node].intermediate_disk.absorb(res.disk)
-                        counters.merge(res.counters)
-                        self.tracer.absorb(res.trace)
-                        shuffle.register(res.output)
-                        lineage.record(a.task_id, a.node, res.output.total_bytes)
-                        journal.append(
-                            K_MAP_COMMIT,
-                            task=a.task_id,
-                            node=a.node,
-                            nbytes=res.output.total_bytes,
-                        )
-                        completed_maps += 1
-                        since_drain += 1
-                        if since_drain >= self.fetch_interval:
-                            network_bytes += drain()
-                            since_drain = 0
-                if since_drain > 0:
-                    network_bytes += drain()
-            else:
-                while queue:
-                    a = queue.popleft()
-                    journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
-                    node, output, extra_net = self._execute_map(
-                        job, recovery, session, a.task_id, a.split, a.node, live, counters
-                    )
-                    network_bytes += extra_net
-                    shuffle.register(output)
-                    lineage.record(a.task_id, node, output.total_bytes)
-                    journal.append(
-                        K_MAP_COMMIT, task=a.task_id, node=node, nbytes=output.total_bytes
-                    )
-                    completed_maps += 1
-                    since_drain += 1
-                    for crashed in self.fault_plan.crashes_due(completed_maps):
-                        with counters.timer(C.T_RECOVERY):
-                            self._handle_node_crash(
-                                crashed,
-                                job=job,
-                                shuffle=shuffle,
-                                lineage=lineage,
-                                reduce_tasks=reduce_tasks,
-                                reducer_nodes=reducer_nodes,
-                                queue=queue,
-                                splits_by_task=splits_by_task,
-                                live=live,
-                                counters=counters,
-                            )
-                    if since_drain >= self.fetch_interval or not queue:
-                        network_bytes += drain()
-                        since_drain = 0
-            t_map = time.perf_counter() - t_map_start
-            self.tracer.add_span(
-                "map-phase", "phase", c_map0, self.tracer.clock, wall_s=t_map
             )
-            get_logger("hadoop").info(
-                "map.phase.done", tasks=completed_maps, wall_ms=t_map * 1e3
-            )
-            for partition in sorted(reduce_tasks):
-                if partition not in committed:
-                    journal.append(K_SHUFFLE_COMMIT, partition=partition)
+        return dict(zip(partitions, r.session.run_batch(self.reduce_kernel, specs)))
 
-            # ---- reduce phase (blocking merge + reduce + output write) ----
-            c_reduce0 = self.tracer.clock
-            t_reduce_start = time.perf_counter()
-            hdfs.namenode.create_file(job.output_path, codec_name="binary")
-            output_records = 0
-            if self.fault_plan is None:
-                # Independent partitions: ship each reduce task's ingested
-                # state (in-memory segments + on-disk runs) to the kernel
-                # and absorb the shadow disk's merge/output I/O back.
-                order = sorted(reduce_tasks)
-                pending = [p for p in order if p not in committed]
-                outputs: dict[int, list[Any]] = {
-                    p: list(committed[p]) for p in committed
-                }
-                specs = []
-                for partition in pending:
-                    rtask = reduce_tasks[partition]
-                    disk = cluster.nodes[reducer_nodes[partition]].intermediate_disk
-                    memory, memory_bytes, (runs, seq) = rtask.export_ingested()
-                    specs.append(
-                        HadoopReduceSpec(
-                            partition,
-                            reducer_nodes[partition],
-                            disk.profile,
-                            disk.name,
-                            memory,
-                            memory_bytes,
-                            runs,
-                            seq,
-                            {path: disk.peek(path) for path, _ in runs},
-                        )
-                    )
-                for partition, res in zip(
-                    pending, session.run_batch("hadoop_reduce", specs)
-                ):
-                    disk = cluster.nodes[reducer_nodes[partition]].intermediate_disk
-                    disk.absorb(res.disk)
-                    counters.merge(reduce_tasks[partition].counters)
-                    counters.merge(res.counters)
-                    self.tracer.absorb(res.trace)
-                    journal.append(
-                        K_REDUCE_COMMIT, partition=partition, records=tuple(res.output)
-                    )
-                    if journal.enabled:
-                        self.tracer.event(
-                            "journal.commit",
-                            "journal",
-                            task=f"reduce:{partition:03d}",
-                            records=len(res.output),
-                        )
-                    outputs[partition] = list(res.output)
-                for partition in order:
-                    output = outputs[partition]
-                    output_records += len(output)
-                    if output:
-                        hdfs.append_block(
-                            job.output_path,
-                            output,
-                            writer_node=reducer_nodes[partition],
-                        )
-            else:
-                for partition in sorted(reduce_tasks):
-                    if partition in committed:
-                        output = list(committed[partition])
-                        output_records += len(output)
-                        if output:
-                            hdfs.append_block(
-                                job.output_path,
-                                output,
-                                writer_node=reducer_nodes[partition],
-                            )
-                        continue
+    def _reduce(self, r: JobRun, partition: int, first: Any) -> list[Any]:
+        if first is None:
+            # A restarted attempt: pull the partition into the fresh task
+            # and run it in place.
+            self._pull_partition(r, partition)
+            return r.reduce_tasks[partition].run()[0]
+        self.cluster.nodes[r.reducer_nodes[partition]].intermediate_disk.absorb(first.disk)
+        r.counters.merge(first.counters)
+        self.tracer.absorb(first.trace)
+        return first.output
 
-                    def attempt(
-                        attempt_idx: int, partition: int = partition
-                    ) -> list[Any]:
-                        nonlocal network_bytes
-                        if attempt_idx > 0:
-                            # The previous attempt died mid-reduce: its fetched
-                            # segments, merge runs and partial output are gone.  A
-                            # fresh task on the next live node re-pulls the whole
-                            # partition from the mapper disks.
-                            dead = reduce_tasks[partition]
-                            counters.merge(dead.counters)  # its work still happened
-                            counters.inc(C.TASKS_RERUN)
-                            new_node = live[(partition + attempt_idx) % len(live)]
-                            reducer_nodes[partition] = new_node
-                            rtask = SortMergeReduceTask(
-                                job,
-                                partition,
-                                new_node,
-                                cluster.nodes[new_node].intermediate_disk,
-                                tracer=self.tracer,
-                            )
-                            reduce_tasks[partition] = rtask
-                            shuffle.reset_partition(partition)
-                            network_bytes += self._pull_partition(
-                                partition,
-                                rtask,
-                                job,
-                                recovery,
-                                session,
-                                shuffle,
-                                lineage,
-                                live,
-                                splits_by_task,
-                                counters,
-                            )
-                        output, _groups = reduce_tasks[partition].run()
-                        return output
+    def _finish(self, r: JobRun) -> None:
+        r.shuffle.cleanup()
+        r.shuffle.merge_stats(r.counters)
+        r.network_bytes += r.shuffle.network_bytes
 
-                    output = recovery.run_reduce_task(partition, attempt)
-                    counters.merge(reduce_tasks[partition].counters)
-                    journal.append(
-                        K_REDUCE_COMMIT, partition=partition, records=tuple(output)
-                    )
-                    if journal.enabled:
-                        self.tracer.event(
-                            "journal.commit",
-                            "journal",
-                            task=f"reduce:{partition:03d}",
-                            records=len(output),
-                        )
-                    output_records += len(output)
-                    if output:
-                        hdfs.append_block(
-                            job.output_path, output, writer_node=reducer_nodes[partition]
-                        )
-            t_reduce = time.perf_counter() - t_reduce_start
-            self.tracer.add_span(
-                "reduce-phase", "phase", c_reduce0, self.tracer.clock, wall_s=t_reduce
-            )
-            get_logger("hadoop").info(
-                "reduce.phase.done",
-                partitions=len(reduce_tasks),
-                records=output_records,
-                wall_ms=t_reduce * 1e3,
-            )
-
-        shuffle.cleanup()
-        shuffle.merge_stats(counters)
-        network_bytes += shuffle.network_bytes
-        counters.inc(C.OUTPUT_BYTES, hdfs.file_bytes(job.output_path))
-        if journal.enabled:
-            journal.append(
-                K_OUTPUT_COMMIT,
-                path=job.output_path,
-                records=output_records,
-                digest=output_digest(hdfs, job.output_path),
-            )
-            journal.finalize()
-            counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-            counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-        wall = time.perf_counter() - t_start
-        return JobResult(
-            job_name=job.name,
-            engine=self.name,
-            output_path=job.output_path,
-            counters=counters,
-            wall_time=wall,
-            phase_times={"map": t_map, "reduce": t_reduce},
-            schedule=sched_stats,
-            network_bytes=network_bytes,
-            output_records=output_records,
-            trace=self.tracer if self.tracer.enabled else None,
-        )

@@ -3,7 +3,9 @@ and one suppression per rule, all injected hermetically via
 ``program_modules_override`` (plus kernel/executor source overrides for
 the context model)."""
 
+import ast
 import textwrap
+from pathlib import Path
 
 from repro.lint import LintConfig, lint_source
 
@@ -414,6 +416,44 @@ class TestREP204:
             journal.append(K_REDUCE_COMMIT, {"reduce": job.rid})
         """
         assert lint(src, select=("REP204",)) == []
+
+
+class TestREP204JobDriver:
+    """REP204 checks one function at a time, so the job driver keeps its
+    reduce-commit append and its output emission in one function.  These
+    cases lint the real module, and a copy with the commit moved after
+    the emission, to show the rule still sees both."""
+
+    COMMIT = "journal.append(K_REDUCE_COMMIT, partition=partition, records=tuple(output))"
+    MODPATH = "repro/mapreduce/driver.py"
+
+    def _source(self):
+        import repro.mapreduce.driver as driver
+
+        return Path(driver.__file__).read_text()
+
+    def test_real_driver_is_clean(self):
+        assert lint(self._source(), modpath=self.MODPATH, select=("REP204",)) == []
+
+    def test_commit_moved_after_emission_is_flagged(self):
+        source = self._source()
+        lines = source.splitlines(keepends=True)
+        [commit_at] = [i for i, line in enumerate(lines) if self.COMMIT in line]
+        [emit] = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.If)
+            and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "append_block"
+                for sub in ast.walk(node)
+            )
+        ]
+        assert commit_at < emit.lineno
+        lines.insert(emit.end_lineno, " " * emit.col_offset + self.COMMIT + "\n")
+        del lines[commit_at]
+        findings = lint("".join(lines), modpath=self.MODPATH, select=("REP204",))
+        assert rules_of(findings) == ["REP204"]
+        assert "before its reduce-commit" in findings[0].message
 
 
 # -- REP205: path-sensitive resource release ----------------------------------
